@@ -53,4 +53,7 @@ pub use counting::{
     total_butterflies_priority, ButterflyCounts,
 };
 pub use leader::{identify_leader, LeaderConfig};
-pub use update::{edge_decrement, edge_decrement_with, leader_decrement, leader_decrement_with};
+pub use update::{
+    edge_decrement, edge_decrement_with, leader_decrement, leader_decrement_marked,
+    leader_decrement_with,
+};

@@ -18,7 +18,10 @@
 //! no O(|V|) view construction on the maintenance path. Neighborhood
 //! membership runs on the dense epoch-stamped [`WedgeScratch`] (no hash
 //! sets); the `*_with` variants take the scratch explicitly so loops reuse
-//! one allocation across many deltas.
+//! one allocation across many deltas. [`leader_decrement_marked`] goes one
+//! step further for the peel, where one leader faces thousands of victims:
+//! it probes marks of the leader's cross neighbors taken once, when the
+//! leader was picked, and every other vertex form delegates to it.
 
 use bcc_graph::{GraphRead, VertexId, WedgeScratch};
 
@@ -41,13 +44,38 @@ pub fn leader_decrement<G: GraphRead>(
     WedgeScratch::with_thread_local(|scratch| leader_decrement_with(g, cross, p, v, scratch))
 }
 
-/// [`leader_decrement`] on a caller-provided scratch.
+/// [`leader_decrement`] on a caller-provided scratch: marks `p`'s live
+/// cross neighbors in `scratch`, then applies [`leader_decrement_marked`].
 pub fn leader_decrement_with<G: GraphRead>(
     g: &G,
     cross: BipartiteCross,
     p: VertexId,
     v: VertexId,
     scratch: &mut WedgeScratch,
+) -> u64 {
+    scratch.reset_for(g.vertex_count());
+    for u in cross.cross_neighbors(g, p) {
+        scratch.mark(u);
+    }
+    leader_decrement_marked(g, cross, p, v, |u| scratch.contains(u))
+}
+
+/// [`leader_decrement`] against precomputed marks of `p`'s cross
+/// neighbors, so that a leader facing many deletions marks its
+/// neighborhood once instead of once per victim.
+///
+/// `marked(u)` must hold for every live cross neighbor of `p`, and for no
+/// live vertex that is not one. Marks taken on an earlier state of a view
+/// that has since only *lost* vertices satisfy this: every lookup below
+/// probes only live neighbors of the victim's wing, and a marked vertex
+/// that is still live is still adjacent to `p`. Must be called while `v`
+/// is live in `g`.
+pub fn leader_decrement_marked<G: GraphRead>(
+    g: &G,
+    cross: BipartiteCross,
+    p: VertexId,
+    v: VertexId,
+    marked: impl Fn(VertexId) -> bool,
 ) -> u64 {
     if p == v {
         return 0; // the caller is about to lose the leader entirely
@@ -57,18 +85,14 @@ pub fn leader_decrement_with<G: GraphRead>(
         return 0;
     }
     if lp == lv {
-        // Same side: butterflies containing p and v choose 2 common cross
-        // neighbors.
-        let alpha = common_cross_neighbors(g, cross, p, v, scratch);
+        // Same side: butterflies containing p and v choose 2 of the
+        // α = |N(v) ∩ N(p)| common cross neighbors.
+        let alpha = cross.cross_neighbors(g, v).filter(|&u| marked(u)).count();
         choose2(alpha as u64)
     } else {
         // Opposite sides: only butterflies using the edge (p, v) die.
-        if !cross.cross_neighbors(g, p).any(|u| u == v) {
+        if !marked(v) {
             return 0;
-        }
-        scratch.reset_for(g.vertex_count());
-        for u in cross.cross_neighbors(g, p) {
-            scratch.mark(u);
         }
         let mut beta = 0u64;
         for u in cross.cross_neighbors(g, v) {
@@ -77,8 +101,7 @@ pub fn leader_decrement_with<G: GraphRead>(
             }
             // |N(u) ∩ N(p)| − 1: common cross neighbors of u and p other
             // than v itself (v is common since u ∈ N(v) and v ∈ N(p)).
-            let common =
-                cross.cross_neighbors(g, u).filter(|&w| scratch.contains(w)).count() as u64;
+            let common = cross.cross_neighbors(g, u).filter(|&w| marked(w)).count() as u64;
             beta += common.saturating_sub(1);
         }
         beta
@@ -170,6 +193,7 @@ mod tests {
     use super::*;
     use crate::counting::{butterfly_degrees, ButterflyCounts};
     use bcc_graph::{GraphBuilder, GraphView, Label, LabeledGraph};
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn cross01() -> BipartiteCross {
@@ -274,6 +298,54 @@ mod tests {
                 before[p.index()],
                 after[p.index()]
             );
+        }
+    }
+
+    /// Marks taken once, before any deletion, stay exact for every later
+    /// (leader, victim) pair on both sides while vertices die one by one —
+    /// including third-label vertices outside the cross-graph.
+    #[test]
+    fn marked_decrement_matches_scratch_under_deletion() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
+        for trial in 0..12 {
+            let mut b = GraphBuilder::new();
+            let vs: Vec<VertexId> =
+                (0..24).map(|i| b.add_vertex(["L", "R", "Z"][i % 3])).collect();
+            for (i, &x) in vs.iter().enumerate() {
+                for &y in &vs[i + 1..] {
+                    if rng.gen_bool(0.35) {
+                        b.add_edge(x, y);
+                    }
+                }
+            }
+            let g = b.build();
+            let cross = cross01();
+            let mut view = GraphView::new(&g);
+            let marks: Vec<bcc_graph::BitSet> = vs
+                .iter()
+                .map(|&p| {
+                    let mut set = bcc_graph::BitSet::new(g.vertex_count());
+                    for u in cross.cross_neighbors(&view, p) {
+                        set.insert(u.index());
+                    }
+                    set
+                })
+                .collect();
+            let mut order = vs.clone();
+            order.shuffle(&mut rng);
+            for &victim_of_step in &order {
+                for &p in vs.iter().filter(|&&p| view.is_alive(p) && cross.contains(&g, p)) {
+                    for v in view.alive_vertices() {
+                        let marked = |u: VertexId| marks[p.index()].contains(u.index());
+                        assert_eq!(
+                            leader_decrement_marked(&view, cross, p, v, marked),
+                            leader_decrement(&view, cross, p, v),
+                            "trial {trial}: leader {p}, victim {v}"
+                        );
+                    }
+                }
+                view.remove_vertex(victim_of_step);
+            }
         }
     }
 

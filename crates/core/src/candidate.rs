@@ -252,17 +252,10 @@ impl<'g> Candidate<'g> {
         let mut removed = Vec::with_capacity(batch.len());
         let mut queue: std::collections::VecDeque<VertexId> = std::collections::VecDeque::new();
         for &v in batch {
-            if !self.view.is_alive(v) {
-                continue;
-            }
-            before_remove(&self.view, v);
-            let neighbors: Vec<VertexId> = self.view.same_label_neighbors(v).collect();
-            self.view.remove_vertex(v);
-            removed.push(v);
-            for u in neighbors {
-                if self.violates(u) {
-                    queue.push_back(u);
-                }
+            if self.view.is_alive(v) {
+                before_remove(&self.view, v);
+                self.remove_and_queue_violators(v, &mut queue);
+                removed.push(v);
             }
         }
         while let Some(v) = queue.pop_front() {
@@ -270,16 +263,28 @@ impl<'g> Candidate<'g> {
                 continue;
             }
             before_remove(&self.view, v);
-            let neighbors: Vec<VertexId> = self.view.same_label_neighbors(v).collect();
-            self.view.remove_vertex(v);
+            self.remove_and_queue_violators(v, &mut queue);
             removed.push(v);
-            for u in neighbors {
-                if self.violates(u) {
-                    queue.push_back(u);
-                }
-            }
         }
         removed
+    }
+
+    /// Deletes `v`, then queues its live same-label neighbors that now
+    /// violate their core threshold. The neighbor walk runs after the
+    /// deletion: a dead vertex's view neighbors are its base neighbors
+    /// that are still live, the same set (in the same order) as just
+    /// before it died.
+    fn remove_and_queue_violators(
+        &mut self,
+        v: VertexId,
+        queue: &mut std::collections::VecDeque<VertexId>,
+    ) {
+        self.view.remove_vertex(v);
+        for u in self.view.same_label_neighbors(v) {
+            if self.violates(u) {
+                queue.push_back(u);
+            }
+        }
     }
 
     #[inline]

@@ -15,8 +15,10 @@
 //! deletions up to the best snapshot (Theorem 3's 2-approximation argument
 //! needs exactly the minimum-query-distance intermediate graph).
 
-use bcc_butterfly::{identify_leader, leader_decrement, ButterflyCounts, LeaderConfig};
-use bcc_graph::{GraphView, VertexId};
+use bcc_butterfly::{
+    identify_leader, leader_decrement_marked, BipartiteCross, ButterflyCounts, LeaderConfig,
+};
+use bcc_graph::{BitSet, GraphView, VertexId};
 
 use crate::candidate::Candidate;
 use crate::fast_dist::IncrementalDistances;
@@ -71,13 +73,19 @@ impl EngineConfig {
     }
 }
 
-/// The leader pair of one label pair, with cached butterfly degrees.
-#[derive(Clone, Copy, Debug)]
+/// The leader pair of one label pair, with cached butterfly degrees and
+/// the cross-neighbor marks Algorithm 7 probes. The marks are taken when
+/// Algorithm 6 picks the leaders and stay exact until the next pick: the
+/// peel only deletes vertices, and every lookup walks live vertices only
+/// (see [`leader_decrement_marked`]).
+#[derive(Clone, Debug)]
 struct PairLeaders {
     left: VertexId,
     chi_left: u64,
+    left_marks: BitSet,
     right: VertexId,
     chi_right: u64,
+    right_marks: BitSet,
 }
 
 /// Output of the peel loop before it is packaged into a
@@ -125,6 +133,8 @@ pub fn run_peel(
     );
     let mut batches: Vec<Vec<VertexId>> = Vec::new();
     let mut snapshots: Vec<u32> = Vec::new();
+    let pair_cross: Vec<BipartiteCross> =
+        (0..candidate.pairs.len()).map(|idx| candidate.cross_of(idx)).collect();
 
     loop {
         // Loop guard (Algorithm 1 line 3): all queries alive and mutually
@@ -161,47 +171,51 @@ pub fn run_peel(
         };
 
         // Per-deletion leader updates (Algorithm 7) run in the pre-removal
-        // callback; collect timing manually to keep the closure light.
-        let pair_cross: Vec<_> = (0..candidate.pairs.len())
-            .map(|idx| candidate.cross_of(idx))
-            .collect();
-        let pair_alive_now = candidate.pair_alive.clone();
+        // callback; collect timing manually to keep the closure light. A
+        // pair holds leaders only while it is alive (a recount that kills
+        // it drops them), so no separate liveness check is needed. The
+        // cascade's own time is the call's time net of the callback's.
         let mut leader_time = std::time::Duration::ZERO;
         let mut leader_updates = 0u64;
+        let cascade_start = std::time::Instant::now();
         let removed = candidate.remove_batch_with(&batch, |view, v| {
             if !config.leader_pairs {
                 return;
             }
             let t = std::time::Instant::now();
-            for (idx, leader) in leaders.iter_mut().enumerate() {
-                if !pair_alive_now[idx] {
-                    continue;
-                }
-                let Some(pl) = leader.as_mut() else { continue };
+            for (pl, &cross) in leaders.iter_mut().zip(&pair_cross) {
+                let Some(pl) = pl.as_mut() else { continue };
                 // Algorithm 7 is defined on the pre-removal state: a dead v
                 // would make every decrement silently 0 (dead vertices have
                 // no live neighbors through GraphRead).
                 debug_assert!(view.is_alive(v), "leader updates run before the deletion of {v}");
                 if view.is_alive(pl.left) && pl.left != v {
-                    pl.chi_left -= leader_decrement(view, pair_cross[idx], pl.left, v);
+                    let marks = &pl.left_marks;
+                    pl.chi_left -= leader_decrement_marked(view, cross, pl.left, v, |u| {
+                        marks.contains(u.index())
+                    });
                     leader_updates += 1;
                 }
                 if view.is_alive(pl.right) && pl.right != v {
-                    pl.chi_right -= leader_decrement(view, pair_cross[idx], pl.right, v);
+                    let marks = &pl.right_marks;
+                    pl.chi_right -= leader_decrement_marked(view, cross, pl.right, v, |u| {
+                        marks.contains(u.index())
+                    });
                     leader_updates += 1;
                 }
             }
             leader_time += t.elapsed();
         });
+        stats.time_core_decomp += cascade_start.elapsed().saturating_sub(leader_time);
         stats.time_leader_update += leader_time;
         stats.leader_updates += leader_updates;
         stats.vertices_deleted += removed.len() as u64;
         stats.iterations += 1;
-        batches.push(removed.clone());
 
         if config.fast_dist {
             dists.update_after_removal(&candidate.view, &removed, stats);
         }
+        batches.push(removed);
 
         // Butterfly-core maintenance (Algorithm 4 line 4).
         #[allow(clippy::needless_range_loop)] // leaders[idx] and candidate.pair_alive[idx] are co-indexed
@@ -210,7 +224,7 @@ pub fn run_peel(
                 continue;
             }
             if config.leader_pairs {
-                let needs_recount = match leaders[idx] {
+                let needs_recount = match &leaders[idx] {
                     Some(pl) => {
                         !candidate.view.is_alive(pl.left)
                             || !candidate.view.is_alive(pl.right)
@@ -269,17 +283,16 @@ pub fn run_peel(
 
     // Certify the leader pair(s) of the returned community (Section 3.3):
     // per label group, its maximum-butterfly member across the group's
-    // cross-graphs.
+    // cross-graphs. These counts are timed as butterfly counting but are
+    // not Algorithm 3 invocations of the peel, so they leave
+    // `butterfly_countings` alone.
+    let certify_start = std::time::Instant::now();
     let community_view = GraphView::from_alive(graph, comp);
     let mut leader_of: Vec<VertexId> = queries.clone();
     let mut best_chi: Vec<u64> = vec![0; candidate.labels.len()];
-    for idx in 0..candidate.pairs.len() {
-        let (i, j) = candidate.pairs[idx];
-        let counts = ButterflyCounts::compute_with_threads(
-            &community_view,
-            candidate.cross_of(idx),
-            config.query_threads,
-        );
+    for (&(i, j), &cross) in candidate.pairs.iter().zip(&pair_cross) {
+        let counts =
+            ButterflyCounts::compute_with_threads(&community_view, cross, config.query_threads);
         for (side, label) in [(i, candidate.labels[i]), (j, candidate.labels[j])] {
             if let Some(v) = counts.side_argmax(&community_view, label) {
                 if counts.chi(v) > best_chi[side] {
@@ -289,6 +302,8 @@ pub fn run_peel(
             }
         }
     }
+
+    stats.time_butterfly_counting += certify_start.elapsed();
 
     Ok(PeelOutcome {
         community,
@@ -324,11 +339,21 @@ fn pick_leaders(
         &counts.chi,
         config,
     );
+    let cross = candidate.cross_of(idx);
+    let marks = |leader: VertexId| {
+        let mut set = BitSet::new(candidate.view.graph().vertex_count());
+        for u in cross.cross_neighbors(&candidate.view, leader) {
+            set.insert(u.index());
+        }
+        set
+    };
     PairLeaders {
         left,
         chi_left: counts.chi(left),
+        left_marks: marks(left),
         right,
         chi_right: counts.chi(right),
+        right_marks: marks(right),
     }
 }
 

@@ -1,23 +1,44 @@
 //! Algorithm 5 — fast query-distance computation.
 //!
-//! After a deletion round removes `D_i` from `G_i`, only vertices whose old
-//! distance exceeded `d_min = min_{v ∈ D_i} dist(v, q)` can change distance
-//! (any shorter path ran exclusively through vertices closer than `d_min`,
-//! all of which survived). Algorithm 5 therefore resets just that suffix
-//! (`S_u`) and re-runs a BFS from the still-settled ring at exactly `d_min`
-//! (`S_s`), instead of a full BFS from the query.
+//! After a deletion round removes `D_i` from `G_i`, the paper's Algorithm 5
+//! resets every vertex farther than `d_min = min_{v ∈ D_i} dist(v, q)` (the
+//! unsettled set `S_u`) and re-runs a BFS from the settled ring at exactly
+//! `d_min` (`S_s`). That suffix is sound but far too wide under bulk
+//! deletion: a round deletes every farthest vertex *plus* the label-core
+//! cascade's collateral, which lands anywhere in the candidate, so nearly
+//! every batch holds some vertex close to one of the queries. `d_min` is
+//! then small, `S_u` is most of the candidate, and each round re-settles it
+//! — a near-full BFS per round under another name.
 //!
-//! To make the update touch only `|S_s| + |S_u|` vertices (and not scan the
-//! whole graph to *find* them), we bucket vertices by distance level with
-//! lazy invalidation: a bucket entry is live iff the vertex's current
-//! distance still equals the bucket level. The common case the paper points
-//! out — the query whose own farthest shell was deleted has `S_u = ∅` —
-//! then costs O(|D_i|).
+//! This module keeps Algorithm 5's contract (exact hop distances after every
+//! round, never a BFS from the query) but narrows the unsettled set to
+//! exactly the survivors whose distance changed. Deletion only lengthens
+//! distances, so a survivor at level `d` keeps it iff it still has a live
+//! neighbour at `d − 1` that kept its own distance. The update therefore
+//! runs in two level-ordered sweeps:
+//!
+//! 1. **Invalidate.** Every deleted vertex at level `d` nominates its live
+//!    children (neighbours at `d + 1`). Levels are processed upward; a
+//!    nominee without a surviving parent is invalidated (its distance reset
+//!    to ∞) and nominates its own children in turn. Within a level each
+//!    nominee is checked once.
+//! 2. **Re-settle.** Each invalidated vertex starts from its best surviving
+//!    neighbour (`1 + min dist`), and a level-bucketed BFS relaxes the
+//!    invalidated set in increasing order — a unit-weight Dijkstra whose
+//!    sources are the exact distances around it. Vertices no surviving path
+//!    reaches stay at ∞ (a pocket cut off from the query).
+//!
+//! Only deleted vertices, nominees and invalidated vertices are touched: a
+//! round costs `O(Σ deg(v))` over `D_i ∪ C`, where `C` is the nominee set (the
+//! children of `D_i` and of the invalidated vertices) — proportional to what
+//! the round deleted and what that deletion actually moved. The per-level
+//! work lists and the nominee marks are reused across rounds, so a round
+//! that moves nothing allocates nothing.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use bcc_graph::{GraphView, VertexId, INF_DIST};
+use bcc_graph::{GraphView, VertexId, WedgeScratch, INF_DIST};
 
 use crate::stats::{timed, SearchStats};
 
@@ -35,44 +56,35 @@ pub struct IncrementalDistances {
     /// `dist[i][v]` = hop distance from query `i` to vertex `v`
     /// ([`INF_DIST`] for dead/unreachable vertices).
     pub dist: Vec<Vec<u32>>,
-    /// `buckets[i][d]` = vertices that were assigned distance `d` from
-    /// query `i` (lazy: entries whose current distance differs are stale).
-    buckets: Vec<Vec<Vec<VertexId>>>,
+    /// Per-level work lists of one update (nominees while invalidating,
+    /// relaxation buckets while re-settling). Empty between updates; their
+    /// capacity is kept across rounds.
+    levels: Vec<Vec<VertexId>>,
+    /// The vertices invalidated by the current update.
+    invalid: Vec<VertexId>,
+    /// Nominees already checked for a surviving parent in this update.
+    checked: WedgeScratch,
 }
 
 impl IncrementalDistances {
-    /// Full BFS from every query (the expensive baseline that Algorithm 5
-    /// avoids repeating).
-    pub fn compute(view: &GraphView<'_>, queries: &[VertexId], stats: &mut SearchStats) -> Self {
-        let (dist, buckets) = timed(&mut stats.time_query_distance, || {
-            let mut dist = Vec::with_capacity(queries.len());
-            let mut buckets = Vec::with_capacity(queries.len());
-            for &q in queries {
-                let d = bcc_graph::bfs_distances(view, q);
-                let max = view
-                    .alive_vertices()
-                    .map(|v| d[v.index()])
-                    .filter(|&x| x != INF_DIST)
-                    .max()
-                    .unwrap_or(0);
-                let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max as usize + 1];
-                for v in view.alive_vertices() {
-                    let dv = d[v.index()];
-                    if dv != INF_DIST {
-                        levels[dv as usize].push(v);
-                    }
-                }
-                dist.push(d);
-                buckets.push(levels);
-            }
-            (dist, buckets)
-        });
-        stats.full_bfs_runs += queries.len() as u64;
+    fn from_dist(queries: &[VertexId], dist: Vec<Vec<u32>>) -> Self {
         IncrementalDistances {
             queries: queries.to_vec(),
             dist,
-            buckets,
+            levels: Vec::new(),
+            invalid: Vec::new(),
+            checked: WedgeScratch::default(),
         }
+    }
+
+    /// Full BFS from every query (the expensive baseline that Algorithm 5
+    /// avoids repeating).
+    pub fn compute(view: &GraphView<'_>, queries: &[VertexId], stats: &mut SearchStats) -> Self {
+        let dist = timed(&mut stats.time_query_distance, || {
+            queries.iter().map(|&q| bcc_graph::bfs_distances(view, q)).collect()
+        });
+        stats.full_bfs_runs += queries.len() as u64;
+        Self::from_dist(queries, dist)
     }
 
     /// [`IncrementalDistances::compute`] with the chunked frontier-parallel
@@ -100,36 +112,16 @@ impl IncrementalDistances {
         let SearchStats {
             time_query_distance, time_dist_expand, time_dist_merge, ..
         } = stats;
-        let (dist, buckets) = timed(time_query_distance, || {
-            let mut dist = Vec::with_capacity(queries.len());
-            let mut buckets = Vec::with_capacity(queries.len());
-            for &q in queries {
-                let d =
-                    bfs_distances_parallel(view, q, threads, time_dist_expand, time_dist_merge);
-                let max = view
-                    .alive_vertices()
-                    .map(|v| d[v.index()])
-                    .filter(|&x| x != INF_DIST)
-                    .max()
-                    .unwrap_or(0);
-                let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max as usize + 1];
-                for v in view.alive_vertices() {
-                    let dv = d[v.index()];
-                    if dv != INF_DIST {
-                        levels[dv as usize].push(v);
-                    }
-                }
-                dist.push(d);
-                buckets.push(levels);
-            }
-            (dist, buckets)
+        let dist = timed(time_query_distance, || {
+            queries
+                .iter()
+                .map(|&q| {
+                    bfs_distances_parallel(view, q, threads, time_dist_expand, time_dist_merge)
+                })
+                .collect()
         });
         stats.full_bfs_runs += queries.len() as u64;
-        IncrementalDistances {
-            queries: queries.to_vec(),
-            dist,
-            buckets,
-        }
+        Self::from_dist(queries, dist)
     }
 
     /// Algorithm 5: refreshes the distance arrays after `removed` vertices
@@ -149,58 +141,80 @@ impl IncrementalDistances {
     }
 
     fn update_one(&mut self, view: &GraphView<'_>, qi: usize, removed: &[VertexId]) {
-        let q = self.queries[qi];
-        let dist = &mut self.dist[qi];
-        let buckets = &mut self.buckets[qi];
-        if !view.is_alive(q) {
+        let IncrementalDistances { queries, dist, levels, invalid, checked } = self;
+        let dist = &mut dist[qi];
+        if !view.is_alive(queries[qi]) {
             dist.fill(INF_DIST);
-            buckets.clear();
             return;
         }
-        // d_min over the deleted set (line 2).
-        let d_min = removed
-            .iter()
-            .map(|v| dist[v.index()])
-            .min()
-            .unwrap_or(INF_DIST);
-        for v in removed {
-            dist[v.index()] = INF_DIST;
-        }
-        if d_min == INF_DIST {
-            // Only unreachable vertices died: S_u = ∅, nothing to update.
-            return;
-        }
-        let d_min = d_min as usize;
-        // S_u (line 4): every alive vertex farther than d_min — exactly the
-        // live entries of the buckets above d_min. Reset them to ∞. A
-        // vertex may also appear as a *stale* entry at a level above its
-        // current distance (BFS improvements leave the old entry behind);
-        // the level check skips those so settled distances survive.
-        for (level_idx, level) in buckets.iter_mut().enumerate().skip(d_min + 1) {
-            for &v in level.iter() {
-                if view.is_alive(v) && dist[v.index()] == level_idx as u32 {
-                    dist[v.index()] = INF_DIST;
+        // Sweep 1: deleted vertices nominate their surviving children.
+        let mut span = LevelSpan::EMPTY;
+        for &r in removed {
+            let d = std::mem::replace(&mut dist[r.index()], INF_DIST);
+            if d == INF_DIST {
+                continue; // it was unreachable: nobody's parent
+            }
+            for c in view.neighbors(r) {
+                if dist[c.index()] == d + 1 {
+                    span.push(levels, d as usize + 1, c);
                 }
             }
-            level.clear();
         }
-        // S_s (line 3): the settled ring at exactly d_min.
-        buckets[d_min].retain(|&v| view.is_alive(v) && dist[v.index()] == d_min as u32);
-        let mut queue: std::collections::VecDeque<VertexId> = buckets[d_min].iter().copied().collect();
-        // BFS restart (line 5). Settled vertices have dist ≤ d_min < any
-        // proposed distance, so the `next < dist` check leaves them alone.
-        while let Some(v) = queue.pop_front() {
-            let next = dist[v.index()] + 1;
-            for u in view.neighbors(v) {
-                if next < dist[u.index()] {
-                    dist[u.index()] = next;
-                    if buckets.len() <= next as usize {
-                        buckets.resize(next as usize + 1, Vec::new());
+        checked.reset_for(dist.len());
+        let mut level = span.lo;
+        while level <= span.hi {
+            let mut work = std::mem::take(&mut levels[level]);
+            let (at, parent) = (level as u32, level as u32 - 1);
+            for &c in &work {
+                if dist[c.index()] != at || checked.contains(c) {
+                    continue; // already invalidated, or already kept
+                }
+                checked.mark(c);
+                if view.neighbors(c).any(|u| dist[u.index()] == parent) {
+                    continue;
+                }
+                dist[c.index()] = INF_DIST;
+                invalid.push(c);
+                for w in view.neighbors(c) {
+                    if dist[w.index()] == at + 1 {
+                        span.push(levels, level + 1, w);
                     }
-                    buckets[next as usize].push(u);
-                    queue.push_back(u);
                 }
             }
+            work.clear();
+            levels[level] = work;
+            level += 1;
+        }
+        // Sweep 2: re-settle the invalidated set from its surviving
+        // neighbours in level order. Exact distances never improve here
+        // (`next < dist` fails for them), so only invalidated vertices move.
+        let mut span = LevelSpan::EMPTY;
+        for &x in invalid.iter() {
+            let best = view.neighbors(x).map(|u| dist[u.index()]).min().unwrap_or(INF_DIST);
+            if best != INF_DIST {
+                dist[x.index()] = best + 1;
+                span.push(levels, best as usize + 1, x);
+            }
+        }
+        invalid.clear();
+        let mut level = span.lo;
+        while level <= span.hi {
+            let mut work = std::mem::take(&mut levels[level]);
+            let at = level as u32;
+            for &x in &work {
+                if dist[x.index()] != at {
+                    continue; // improved after it was queued here
+                }
+                for w in view.neighbors(x) {
+                    if at + 1 < dist[w.index()] {
+                        dist[w.index()] = at + 1;
+                        span.push(levels, level + 1, w);
+                    }
+                }
+            }
+            work.clear();
+            levels[level] = work;
+            level += 1;
         }
     }
 
@@ -245,6 +259,27 @@ impl IncrementalDistances {
     pub fn queries_connected(&self) -> bool {
         let first = &self.dist[0];
         self.queries.iter().all(|q| first[q.index()] != INF_DIST)
+    }
+}
+
+/// The range of levels an update sweep has queued work at.
+struct LevelSpan {
+    lo: usize,
+    hi: usize,
+}
+
+impl LevelSpan {
+    /// No level queued: `lo > hi`, so the sweep loop does not run.
+    const EMPTY: LevelSpan = LevelSpan { lo: usize::MAX, hi: 0 };
+
+    /// Queues `v` at `level`, growing the work lists as needed.
+    fn push(&mut self, levels: &mut Vec<Vec<VertexId>>, level: usize, v: VertexId) {
+        if levels.len() <= level {
+            levels.resize_with(level + 1, Vec::new);
+        }
+        levels[level].push(v);
+        self.lo = self.lo.min(level);
+        self.hi = self.hi.max(level);
     }
 }
 
@@ -400,7 +435,6 @@ mod tests {
             let par =
                 IncrementalDistances::compute_with_threads(&view, &queries, threads, &mut stats);
             assert_eq!(par.dist, seq.dist, "threads {threads}");
-            assert_eq!(par.buckets, seq.buckets, "threads {threads}");
             assert_eq!(stats.full_bfs_runs, 2);
         }
         // Sequential path never touches the sub-phase slots.
@@ -452,6 +486,113 @@ mod tests {
             inc.update_after_removal(&view, &batch, &mut stats);
             assert_matches_fresh(&view, &inc);
         }
+    }
+
+    /// A seeded random graph over two labels: a ring backbone (so the
+    /// queries start connected) plus random chords.
+    fn random_labeled(n: usize, chords: usize, rng: &mut impl Rng) -> LabeledGraph {
+        let mut b = GraphBuilder::new();
+        let vs: Vec<_> = (0..n).map(|i| b.add_vertex(if i % 2 == 0 { "L" } else { "R" })).collect();
+        for i in 0..n {
+            b.add_edge(vs[i], vs[(i + 1) % n]);
+        }
+        for _ in 0..chords {
+            let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if x != y {
+                b.add_edge(vs[x], vs[y]);
+            }
+        }
+        b.build()
+    }
+
+    /// Alive vertices that are not `queries`, in id order.
+    fn alive_non_queries(view: &GraphView<'_>, queries: &[VertexId]) -> Vec<VertexId> {
+        view.alive_vertices().filter(|v| !queries.contains(v)).collect()
+    }
+
+    /// The decremental update against a fresh BFS after every bulk round,
+    /// on seeded random graphs. Rounds cycle through random batches,
+    /// batches adjacent to a query, and cuts that isolate a pocket; the
+    /// last rounds kill a query and keep peeling around the survivors.
+    #[test]
+    fn bulk_rounds_match_fresh_bfs_on_random_graphs() {
+        let (mut adjacent_rounds, mut pocket_rounds, mut dead_query_rounds) = (0, 0, 0);
+        for seed in 0..8u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let g = random_labeled(90, 70, &mut rng);
+            let mut view = GraphView::new(&g);
+            let mut stats = SearchStats::default();
+            let queries = [VertexId(0), VertexId(45), VertexId(21)];
+            let mut inc = IncrementalDistances::compute(&view, &queries, &mut stats);
+            for round in 0..24 {
+                let pool = alive_non_queries(&view, &queries);
+                if pool.len() < 8 {
+                    break;
+                }
+                let random: Vec<VertexId> =
+                    (0..rng.gen_range(1..=5)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                let batch: Vec<VertexId> = match round {
+                    // Kill a query together with a few random vertices.
+                    20 => [queries[2]].into_iter().chain(random).collect(),
+                    _ if round % 3 == 0 => {
+                        // A query's live neighbour and two of its own.
+                        let q = queries[rng.gen_range(0..2usize)];
+                        let near: Vec<VertexId> =
+                            view.neighbors(q).filter(|v| !queries.contains(v)).collect();
+                        match near.get(rng.gen_range(0..near.len().max(1))) {
+                            Some(&hub) => [hub]
+                                .into_iter()
+                                .chain(view.neighbors(hub).filter(|v| !queries.contains(v)).take(2))
+                                .collect(),
+                            None => random,
+                        }
+                    }
+                    _ if round % 3 == 1 => {
+                        // Cut every live neighbour of a vertex and of its
+                        // neighbour: the pair survives as a pocket.
+                        let x = pool[rng.gen_range(0..pool.len())];
+                        let cut: Vec<VertexId> = match view.neighbors(x).find(|v| !queries.contains(v)) {
+                            Some(y) => view
+                                .neighbors(x)
+                                .chain(view.neighbors(y))
+                                .filter(|&v| v != x && v != y)
+                                .collect(),
+                            None => Vec::new(),
+                        };
+                        if cut.is_empty() || cut.iter().any(|v| queries.contains(v)) {
+                            random
+                        } else {
+                            cut
+                        }
+                    }
+                    _ => random,
+                };
+                let mut removed = Vec::new();
+                for v in batch {
+                    if view.remove_vertex(v) {
+                        removed.push(v);
+                    }
+                }
+                let touched_query = removed.iter().any(|&r| {
+                    queries[..2].iter().any(|&q| g.neighbors(q).contains(&r))
+                });
+                inc.update_after_removal(&view, &removed, &mut stats);
+                assert_matches_fresh(&view, &inc);
+                adjacent_rounds += usize::from(touched_query);
+                let live_q = queries.iter().find(|q| view.is_alive(**q)).copied();
+                if let Some(q) = live_q {
+                    let qi = queries.iter().position(|&x| x == q).unwrap();
+                    pocket_rounds += usize::from(
+                        view.alive_vertices().any(|v| inc.dist[qi][v.index()] == INF_DIST),
+                    );
+                }
+                dead_query_rounds += usize::from(!view.is_alive(queries[2]));
+            }
+            assert!(stats.incremental_dist_updates >= 20, "seed {seed}: too few rounds");
+        }
+        assert!(adjacent_rounds > 0, "no batch touched a query's neighbourhood");
+        assert!(pocket_rounds > 0, "no round left an unreachable pocket");
+        assert!(dead_query_rounds > 0, "no round ran with a dead query");
     }
 
     #[test]

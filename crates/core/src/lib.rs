@@ -10,8 +10,8 @@
 //! | Algorithm 1 (online greedy, 2-approx) | [`OnlineBcc`], [`engine`] |
 //! | Algorithm 2 (finding G₀) | [`candidate::Candidate::find_g0`] |
 //! | Algorithm 4 (BCC maintenance) | [`candidate::Candidate::remove_batch_with`] + engine recounts |
-//! | Algorithm 5 (fast query distance) | [`fast_dist::IncrementalDistances`] |
-//! | Algorithms 6–7 (leader pairs) | [`LpBcc`] (via `bcc-butterfly`) |
+//! | Algorithm 5 (fast query distance) | [`fast_dist::IncrementalDistances`]: exact decremental update that re-settles only the survivors left without a parent one level closer |
+//! | Algorithms 6–7 (leader pairs) | [`LpBcc`] via [`engine`]: `bcc_butterfly::identify_leader` picks, `bcc_butterfly::leader_decrement_marked` updates against the leader's cross-neighbor marks, taken once per pick |
 //! | Section 6.3 (BCindex + local search, Algorithm 8) | [`BccIndex`], [`L2pBcc`] |
 //! | Section 7 (mBCC, Algorithm 9) | [`MultiLabelBcc`] |
 //!

@@ -37,9 +37,13 @@ pub struct SearchStats {
     /// merging per-worker discovery buffers into the next frontier.
     pub time_dist_merge: Duration,
     /// Wall time spent in label-core decomposition / reduction to the
-    /// per-label cores (Algorithm 2 lines 1–3).
+    /// per-label cores (Algorithm 2 lines 1–3) and in the peel's core
+    /// cascade (Algorithm 4 lines 1–3), net of the Algorithm 7 updates
+    /// that run inside the cascade.
     pub time_core_decomp: Duration,
-    /// Wall time spent in full butterfly counting.
+    /// Wall time spent in full butterfly counting, including the final
+    /// leader certification on the returned community (which does not
+    /// count toward `butterfly_countings`).
     pub time_butterfly_counting: Duration,
     /// Wall time spent updating leader butterfly degrees (Algorithm 7) and
     /// re-identifying leaders (Algorithm 6).
